@@ -10,7 +10,8 @@
 //     the runner has more than one processor; on a single-CPU runner, where
 //     overlap is physically impossible, it must stay within 10% of serial
 //     (the pipeline's bookkeeping overhead budget).
-//   - The pipelined steady state must not allocate per window.
+//   - Neither the serial nor the pipelined steady state may allocate per
+//     window (< 1 allocs/window each).
 //
 // Emulation-kernel mode (-emu) compares a fresh BENCH_emu.json against the
 // committed baseline: every BenchmarkRunSerial/BenchmarkRunParallel variant
@@ -193,11 +194,16 @@ func gateLoop(path string) int {
 			pipe.windowsPerS, serial.windowsPerS)
 	}
 
-	if pipe.hasAllocs {
-		c.check(pipe.allocsPerW < 1,
-			"pipelined steady state: %.2f allocs/window", pipe.allocsPerW)
-	} else {
-		c.check(false, "pipelined allocs/window metric missing")
+	for _, r := range []struct {
+		name string
+		m    metrics
+	}{{"serial", serial}, {"pipelined", pipe}} {
+		if r.m.hasAllocs {
+			c.check(r.m.allocsPerW < 1,
+				"%s steady state: %.2f allocs/window", r.name, r.m.allocsPerW)
+		} else {
+			c.check(false, "%s allocs/window metric missing", r.name)
+		}
 	}
 	return c.fail
 }

@@ -202,6 +202,37 @@ func TestPipelinedResumeDigestIdentity(t *testing.T) {
 	}
 }
 
+// TestCheckpointCadenceEveryDepth: the cadence is one rule at every
+// pipeline depth — a checkpoint at each multiple of CheckpointEvery
+// committed windows, the run's final window included — so serial and
+// pipelined runs cut the same checkpoints.
+func TestCheckpointCadenceEveryDepth(t *testing.T) {
+	var want []uint64
+	for _, depth := range []int{0, 1, 2} {
+		cfg := ckptConfig(t, 16, nil)
+		cfg.PipelineDepth = depth
+		var got []uint64
+		cfg.CheckpointEvery = 1
+		cfg.CheckpointSink = func(c *checkpoint.Checkpoint) error {
+			got = append(got, c.Window)
+			return nil
+		}
+		res, err := Run(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(got); n == 0 || got[n-1] != uint64(len(res.Samples)) {
+			t.Fatalf("depth %d: checkpoints at windows %v, want the last at window %d",
+				depth, got, len(res.Samples))
+		}
+		if depth == 0 {
+			want = got
+		} else if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("depth %d: checkpoints at windows %v, depth 0 cut %v", depth, got, want)
+		}
+	}
+}
+
 // TestPolicyStateResumes: a thermal-management run resumed mid-flight must
 // restore the policy's internal state (hysteresis) and the thermal model
 // exactly — proven by digest identity, which is frequency-trajectory

@@ -4,8 +4,7 @@
 // entry or inline R32 assembly), thermal configuration (floorplan, cell
 // count, sampling window, pipeline depth), TM policy and an optional link
 // fault spec — plus a strict parser, a canonical renderer, a validating
-// linter and builders that turn a scenario into the same emu/core
-// configurations the CLI flags produce, bit for bit.
+// linter and builders that turn a scenario into emu/core configurations.
 //
 // A scenario file looks like:
 //
@@ -27,10 +26,10 @@
 //	[tm]
 //	policy = threshold-dfs
 //
-// Scenarios make new experiments data files instead of Go changes: every
-// flag combination of cmd/thermemu is expressible, and the conformance
-// tier proves a scenario-driven run digests identically to its flag-driven
-// twin.
+// Scenarios make new experiments data files instead of Go changes. They are
+// also the only config path: cmd/thermemu's platform/workload flags build a
+// Scenario and run it through the same Lint → CoEmulation as a file, and
+// the conformance tier pins every example file's digest.
 package scenario
 
 import (
@@ -119,9 +118,9 @@ type Scenario struct {
 	FaultSeed int64
 }
 
-// New returns a scenario with every field at its default — the same
-// defaults the cmd/thermemu flags carry, so an empty scenario file (just
-// the header) describes the CLI's default run.
+// New returns a scenario with every field at its default. The cmd/thermemu
+// flags take their defaults from it, so an empty scenario file (just the
+// header) describes the CLI's default run.
 func New() *Scenario {
 	return &Scenario{
 		Cores:     4,
@@ -182,10 +181,10 @@ func parseIC(spec string) (emu.ICKind, *noc.Topology, error) {
 	return 0, nil, fmt.Errorf("unknown interconnect %q (want opb | plb | custom | noc:pair | noc:mesh:WxH | noc:ring:N)", spec)
 }
 
-// Platform builds the emulation platform configuration. It reproduces
-// cmd/thermemu's flag plumbing exactly: DefaultConfig, interconnect switch
-// (NoC cores attached round-robin, shared memory on the last switch),
-// frequency override, then any workload-forced operating point.
+// Platform builds the emulation platform configuration: DefaultConfig,
+// interconnect switch (NoC cores attached round-robin, shared memory on the
+// last switch), frequency override, then any workload-forced operating
+// point.
 func (s *Scenario) Platform() (emu.Config, error) {
 	cfg := emu.DefaultConfig(s.Cores)
 	cfg.PrivKB = s.PrivKB
