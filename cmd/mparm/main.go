@@ -55,17 +55,9 @@ func run(cores int, workload string, n, iters, size, words int, ic string) error
 		return err
 	}
 
-	p, err := emu.New(cfg)
+	p, err := thermemu.LoadPlatform(cfg, spec)
 	if err != nil {
 		return err
-	}
-	for i, im := range spec.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			return err
-		}
-	}
-	for _, b := range spec.Shared {
-		p.WriteShared(b.Addr, b.Data)
 	}
 	k := mparm.New(p)
 	cycles, done := k.Run(1 << 62)

@@ -72,8 +72,8 @@ type options struct {
 func parseArgs(args []string) (*scenario.Scenario, *options, error) {
 	s := scenario.New()
 	var (
-		ic, nocSpec       string
-		withTM, speculate bool
+		ic, nocSpec string
+		withTM      bool
 	)
 	sf := flag.NewFlagSet("scenario", flag.ContinueOnError)
 	sf.IntVar(&s.Cores, "cores", s.Cores, "emulated cores (1-8)")
@@ -86,7 +86,6 @@ func parseArgs(args []string) (*scenario.Scenario, *options, error) {
 	sf.StringVar(&nocSpec, "noc", "pair", "NoC topology when -ic noc: pair | mesh:WxH | ring:N")
 	sf.IntVar(&s.FreqMHz, "freq", s.FreqMHz, "virtual clock in MHz (0 = platform default)")
 	sf.BoolVar(&s.Blocks, "blocks", s.Blocks, "threaded-code block dispatch: translate straight-line R32 blocks at first execution (bit-identical results, faster on compute-bound code)")
-	sf.BoolVar(&speculate, "speculate", false, "speculative shared-path kernel: cores free-run against logged shared state, validated and committed at chunk boundaries (implies the parallel kernel; bit-identical results, scales with cores)")
 	sf.BoolVar(&withTM, "tm", false, "enable the 350K/340K threshold DFS policy")
 	sf.Float64Var(&s.WindowMs, "window", s.WindowMs, "sampling window in virtual ms")
 	sf.IntVar(&s.Pipeline, "pipeline", s.Pipeline, "pipeline depth: overlap emulation with the thermal solve at a sensor latency of this many windows (0 = solve each window before the next)")
@@ -143,11 +142,6 @@ func parseArgs(args []string) (*scenario.Scenario, *options, error) {
 	}
 	if withTM {
 		s.Policy = "threshold-dfs"
-	}
-	if speculate {
-		// The speculative kernel rides on the parallel kernel's chunked
-		// epochs; selecting it selects both.
-		s.Parallel, s.Speculate = true, true
 	}
 	return s, o, nil
 }
@@ -314,14 +308,6 @@ func run(s *scenario.Scenario, o *options) error {
 	fmt.Printf("samples:        %d (window %.2f ms)\n", len(res.Samples), s.WindowMs)
 	fmt.Printf("max temp:       %.2f K\n", res.MaxTempK)
 	fmt.Printf("DFS events:     %d\n", res.DFSEvents)
-	if sp := res.Speculation; sp.SpecChunks > 0 || sp.GatedChunks > 0 {
-		clean := 0.0
-		if sp.SpecChunks > 0 {
-			clean = 100 * float64(sp.CleanChunks) / float64(sp.SpecChunks)
-		}
-		fmt.Printf("speculation:    %d chunks (%.1f%% clean), %d conflicts, %d poisoned, %d replays, %d gated\n",
-			sp.SpecChunks, clean, sp.Conflicts, sp.Poisoned, sp.Replays, sp.GatedChunks)
-	}
 	if s.Pipeline > 0 {
 		fmt.Printf("pipeline:       depth %d (sensor latency %d windows), thermal lag %.3f ms frozen\n",
 			s.Pipeline, s.Pipeline, float64(res.ThermalLagPs)*1e-9)

@@ -19,7 +19,6 @@ var flagCases = []struct {
 	{[]string{"-ic", "noc"}, func(s *scenario.Scenario) { s.IC = "noc:pair" }},
 	{[]string{"-ic", "plb", "-noc", "ring:4"}, func(s *scenario.Scenario) { s.IC = "plb" }},
 	{[]string{"-tm"}, func(s *scenario.Scenario) { s.Policy = "threshold-dfs" }},
-	{[]string{"-speculate"}, func(s *scenario.Scenario) { s.Parallel, s.Speculate = true, true }},
 	{[]string{"-freq", "100"}, func(s *scenario.Scenario) { s.FreqMHz = 100 }},
 	{[]string{"-workers", "2"}, func(s *scenario.Scenario) { s.Workers = 2 }},
 	{[]string{"-cells", "60"}, func(s *scenario.Scenario) { s.Cells = 60 }},
@@ -34,8 +33,8 @@ var flagCases = []struct {
 }
 
 // TestFlagsBuildScenario: the platform/workload/thermal flags build exactly
-// the Scenario a file with the same settings parses to, and every such
-// Scenario lints clean.
+// the Scenario a file with the same settings parses to, every such Scenario
+// lints clean, and -speculate is refused as an unknown flag.
 func TestFlagsBuildScenario(t *testing.T) {
 	for _, c := range flagCases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -56,6 +55,12 @@ func TestFlagsBuildScenario(t *testing.T) {
 			}
 		})
 	}
+	// The retired speculative kernel's flag is gone, not ignored.
+	t.Run("-speculate", func(t *testing.T) {
+		if _, _, err := parseArgs([]string{"-speculate"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Fatalf("err = %v, want -speculate refused as an unknown flag", err)
+		}
+	})
 }
 
 // TestScenarioFlagConflicts: with -scenario every scenario-writing flag is

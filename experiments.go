@@ -85,8 +85,9 @@ type Table3Options struct {
 	// Parallel steps the emulator side on concurrent host threads, the
 	// software analogue of the FPGA fabric's spatial parallelism; on a
 	// multi-core host this reproduces the paper's near-constant emulator
-	// wall time as cores are added. Cycle-identity between the two kernels
-	// is not checked in this mode.
+	// wall time as cores are added. The parallel kernel is bit-identical to
+	// the serial one, so every row still checks that the emulator and the
+	// baseline agree on cycles.
 	Parallel bool
 }
 
@@ -185,7 +186,7 @@ func appendRow(rows *[]Table3Row, cfg PlatformConfig, spec *Workload, name strin
 	if err != nil {
 		return fmt.Errorf("%s (emulator): %w", name, err)
 	}
-	if !parallel && fast.Cycles != slow.Cycles {
+	if fast.Cycles != slow.Cycles {
 		return fmt.Errorf("%s: kernels disagree on cycles (%d vs %d)", name, fast.Cycles, slow.Cycles)
 	}
 	*rows = append(*rows, newTable3Row(name, cores, label, slow, fast))
@@ -255,17 +256,9 @@ func matrixTMRow(opts Table3Options) (Table3Row, error) {
 // runMPARMThermal mirrors core.Run's window loop around the signal-level
 // kernel, stepping the same thermal host and policy.
 func runMPARMThermal(cfg core.Config) (time.Duration, uint64, error) {
-	p, err := emu.New(cfg.Platform)
+	p, err := LoadPlatform(cfg.Platform, cfg.Workload)
 	if err != nil {
 		return 0, 0, err
-	}
-	for i, im := range cfg.Workload.Programs {
-		if err := p.LoadProgram(i, im); err != nil {
-			return 0, 0, err
-		}
-	}
-	for _, b := range cfg.Workload.Shared {
-		p.WriteShared(b.Addr, b.Data)
 	}
 	k := mparm.New(p)
 	eval := core.NewPowerEvaluator(cfg.Host.FP)

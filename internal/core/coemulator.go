@@ -147,9 +147,6 @@ type Result struct {
 	// because the thermal solve (or the link carrying it) lagged the
 	// pipelined emulation (vpcm.ThermalLagSource). Always 0 at depth 0.
 	ThermalLagPs uint64
-	// Speculation is the speculative kernel's telemetry (zero-valued unless
-	// the platform ran with Config.Speculate).
-	Speculation emu.SpecStats
 }
 
 // DefaultWindowPs is the paper's 10 ms sampling period.

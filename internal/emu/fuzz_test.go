@@ -2,8 +2,8 @@ package emu_test
 
 // FuzzPlatformStep feeds random short programs to a two-core platform and
 // asserts that the per-cycle sweep (StepOne), the serial skip-ahead kernel
-// and the deterministic parallel kernel all produce bit-identical golden
-// digests — including when the program faults, loops forever, hammers the
+// and the deterministic parallel kernel, interpreted and block-dispatched,
+// all produce bit-identical golden digests — including when the program faults, loops forever, hammers the
 // barrier or races both cores over shared memory. This is the adversarial
 // counterpart of the hand-written differential matrix.
 
@@ -50,6 +50,13 @@ func FuzzPlatformStep(f *testing.F) {
 	f.Add(append(
 		u32le(isa.Encode(isa.Instr{Op: isa.OpSwap, Rd: 4, Rs1: 1, Imm: 8})),
 		u32le(isa.Encode(isa.Instr{Op: isa.OpBne, Rs1: 4, Rs2: 0, Imm: -2}))...))
+	// Both cores load-increment-store the same shared word.
+	f.Add(append(append(
+		u32le(isa.Encode(isa.Instr{Op: isa.OpLw, Rd: 5, Rs1: 1, Imm: 0})),
+		u32le(isa.Encode(isa.Instr{Op: isa.OpAddi, Rd: 5, Rs1: 5, Imm: 1}))...),
+		u32le(isa.Encode(isa.Instr{Op: isa.OpSw, Rd: 5, Rs1: 1, Imm: 0}))...))
+	// A sniffer-control store.
+	f.Add(u32le(isa.Encode(isa.Instr{Op: isa.OpSw, Rd: 4, Rs1: 3, Imm: 0})))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) > 256 {
 			payload = payload[:256]
@@ -60,10 +67,11 @@ func FuzzPlatformStep(f *testing.F) {
 			every     = 64
 			chunk     = 16
 		)
-		run := func(drive func(p *emu.Platform, tr *golden.Trace)) *golden.Trace {
+		run := func(blocks bool, drive func(p *emu.Platform, tr *golden.Trace)) *golden.Trace {
 			parallel := drive == nil
 			cfg := emu.DefaultConfig(2)
 			cfg.Parallel = parallel
+			cfg.Blocks = blocks
 			p := emu.MustNew(cfg)
 			for c := range p.Cores {
 				if err := p.LoadProgram(c, im); err != nil {
@@ -78,16 +86,17 @@ func FuzzPlatformStep(f *testing.F) {
 			}
 			return tr
 		}
-		perCycle := run(func(p *emu.Platform, tr *golden.Trace) {
+		perCycle := run(false, func(p *emu.Platform, tr *golden.Trace) {
 			stepOneDigest(p, maxCycles, every, tr)
 		})
-		serial := run(func(p *emu.Platform, tr *golden.Trace) {
+		serial := run(false, func(p *emu.Platform, tr *golden.Trace) {
 			p.RunDigest(maxCycles, every, tr)
 		})
-		single := run(func(p *emu.Platform, tr *golden.Trace) {
+		single := run(false, func(p *emu.Platform, tr *golden.Trace) {
 			stepWindowDigest(p, maxCycles, every, 1, tr)
 		})
-		par := run(nil)
+		par := run(false, nil)
+		parBlocks := run(true, nil)
 		if d := golden.Compare(perCycle, serial); d != nil {
 			t.Fatalf("skip-ahead kernel diverges from per-cycle sweep: %s", d)
 		}
@@ -96,6 +105,9 @@ func FuzzPlatformStep(f *testing.F) {
 		}
 		if d := golden.Compare(perCycle, par); d != nil {
 			t.Fatalf("parallel kernel diverges from per-cycle sweep: %s", d)
+		}
+		if d := golden.Compare(perCycle, parBlocks); d != nil {
+			t.Fatalf("parallel block kernel diverges from per-cycle sweep: %s", d)
 		}
 	})
 }

@@ -1,11 +1,11 @@
 package emu_test
 
 // Differential conformance matrix for the deterministic parallel kernel:
-// every seed workload, on both interconnect families, at 1/2/4 cores, must
-// produce bit-identical golden digests from the serial kernel, from serial
-// stepping of a Parallel-built platform, and from RunParallel at every
-// chunk size — run after run. Failures report the first divergent cycle,
-// core and field via the journaled traces.
+// every seed workload, on both interconnect families at 1/2/4 cores and on
+// the bus at 8 cores, must produce bit-identical golden digests from the
+// serial kernel, from serial stepping of a Parallel-built platform, and from
+// RunParallel at every chunk size — run after run. Failures report the first
+// divergent cycle, core and field via the journaled traces.
 
 import (
 	"fmt"
@@ -158,6 +158,32 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestDifferentialParallel8Core is the wide-platform column: every corpus
+// workload runnable on 8 cores, the parallel kernel with block dispatch vs
+// the serial reference. Bus only and a single chunk size, to keep the -race
+// matrix affordable.
+func TestDifferentialParallel8Core(t *testing.T) {
+	const cores = 8
+	for _, kind := range diffKinds(cores) {
+		t.Run(kind, func(t *testing.T) {
+			spec := diffSpec(t, kind, cores)
+			want := digestRun(t, diffConfig(cores, false, false), spec,
+				func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
+					return p.RunDigest(diffMaxCycles, diffEvery, tr)
+				})
+			cfg := diffConfig(cores, false, true)
+			cfg.Blocks = true
+			got := digestRun(t, cfg, spec,
+				func(p *emu.Platform, tr *golden.Trace) (uint64, bool) {
+					return p.RunParallelDigest(emu.DefaultChunk, diffMaxCycles, diffEvery, tr)
+				})
+			if d := golden.Compare(want, got); d != nil {
+				t.Errorf("8-core parallel kernel diverges from serial: %s", d)
+			}
+		})
 	}
 }
 

@@ -115,11 +115,6 @@ type scheduler struct {
 	// those writes before the arbiter sums them into the skip telemetry.
 	skipped []uint64
 	pending []schedEvent
-	// parks/grants count arbiter traffic for the speculation/parallel
-	// telemetry (SpecStats); both are touched only on the arbiter's
-	// goroutine.
-	parks  uint64
-	grants uint64
 }
 
 func newScheduler(cores int) *scheduler {
@@ -176,6 +171,18 @@ func (t *gated) StoreByte(addr uint32, b byte) {
 
 // Size implements mem.Target (never parks; see type comment).
 func (t *gated) Size() uint32 { return t.under.Size() }
+
+// advanceChunk executes one epoch of at most chunk cycles, clamped to limit,
+// and advances the virtual clock by the cycles it covered. It is the shared
+// inner step of RunParallel and RunParallelDigest.
+func (p *Platform) advanceChunk(chunk, limit uint64) {
+	base := p.VPCM.Cycle()
+	n := chunk
+	if left := limit - base; n > left {
+		n = left
+	}
+	p.VPCM.Advance(p.runChunk(base, n))
+}
 
 // runChunk executes one deterministic epoch of up to n cycles starting at
 // platform cycle base and returns the cycles actually covered. The return
@@ -283,14 +290,12 @@ func (p *Platform) runChunk(base, n uint64) uint64 {
 				s.gates[grant.core].solo = true
 			}
 			running++
-			s.grants++
 			s.gates[grant.core].grant <- struct{}{}
 		}
 		ev := <-s.events
 		running--
 		switch ev.kind {
 		case evPark:
-			s.parks++
 			pending = append(pending, ev)
 		case evDone:
 			s.doneAt[ev.core] = ev.cycle

@@ -36,9 +36,6 @@ func (s *Scenario) Lint() error {
 	if s.SharedKB < 1 {
 		fail("platform: shared-kb must be at least 1, got %d", s.SharedKB)
 	}
-	if s.Speculate && !s.Parallel {
-		fail("platform: speculate requires parallel = true")
-	}
 
 	if _, ok := floorplans[s.Floorplan]; !ok {
 		fail("thermal: unknown floorplan %q (want arm7 | arm11)", s.Floorplan)
@@ -86,12 +83,17 @@ func (s *Scenario) Lint() error {
 }
 
 // Warnings reports lint findings that do not invalidate the scenario but
-// usually mean lost evidence. The only rule so far: a [fault] spec with TM
-// off and no digest — the run injects link faults, yet records neither the
-// policy's reaction nor a conformance digest, so a silently-corrupted run
-// is indistinguishable from a clean one.
+// usually mean lost evidence or a setting with no effect:
+//   - a [fault] spec with TM off and no digest — the run injects link
+//     faults, yet records neither the policy's reaction nor a conformance
+//     digest, so a silently-corrupted run is indistinguishable from a clean
+//     one;
+//   - the deprecated platform key speculate, which is ignored.
 func (s *Scenario) Warnings() []string {
 	var ws []string
+	if s.Speculate {
+		ws = append(ws, "platform: speculate is deprecated and ignored; the parallel kernel (parallel = true) is the one multi-threaded kernel")
+	}
 	if s.Fault != "" && s.Policy == "none" && !s.Digest {
 		ws = append(ws, fmt.Sprintf(
 			"fault spec %q with tm policy off and no digest: nothing records whether the faulty link corrupted the run; set digest = true in [scenario] (or a [tm] policy) to keep chaos-run evidence", s.Fault))

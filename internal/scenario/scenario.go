@@ -85,8 +85,11 @@ type Scenario struct {
 	SharedKB int
 	Blocks   bool
 	Parallel bool
-	// Speculate selects the speculative shared-path kernel (requires
-	// Parallel; results stay bit-identical to the serial kernel).
+	// Speculate is the v1 key of the retired speculative kernel. It is
+	// still parsed, and rendered when set, so existing v1 files keep
+	// working; Warnings reports it.
+	//
+	// Deprecated: ignored.
 	Speculate bool
 
 	// [workload] — a named corpus workload with its parameters...
@@ -210,7 +213,6 @@ func (s *Scenario) Platform() (emu.Config, error) {
 	}
 	cfg.Blocks = s.Blocks
 	cfg.Parallel = s.Parallel
-	cfg.Speculate = s.Speculate
 	return cfg, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"thermemu/internal/core"
 	"thermemu/internal/emu"
 	"thermemu/internal/workloads"
 )
@@ -249,6 +250,49 @@ func TestWarnings(t *testing.T) {
 	s = New() // no fault spec at all
 	if ws := s.Warnings(); len(ws) != 0 {
 		t.Errorf("no fault: unexpected warnings %q", ws)
+	}
+}
+
+// TestSpeculateKeyDeprecated: a v1 file carrying the retired speculate key
+// still parses and lints clean, warns exactly once, and builds the same
+// co-emulation config as the file without the key.
+func TestSpeculateKeyDeprecated(t *testing.T) {
+	const plain = Header + "\n[platform]\ncores = 4\nblocks = true\nparallel = true\n[workload]\nname = matrix\nn = 8\niters = 2\n"
+	legacy := strings.Replace(plain, "parallel = true\n", "parallel = true\nspeculate = true\n", 1)
+	build := func(src string) (*Scenario, core.Config) {
+		t.Helper()
+		s, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Lint(); err != nil {
+			t.Fatalf("lint: %v", err)
+		}
+		cfg, err := s.CoEmulation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Host == nil {
+			t.Fatal("CoEmulation left the thermal host unset")
+		}
+		// A fresh thermal host and verifier closure never compare equal by
+		// identity; the rest of the config must match exactly.
+		cfg.Host, cfg.Workload.Verify = nil, nil
+		return s, cfg
+	}
+	s, got := build(legacy)
+	if !s.Speculate {
+		t.Error("the speculate key was not parsed")
+	}
+	if ws := s.Warnings(); len(ws) != 1 || !strings.Contains(ws[0], "speculate") {
+		t.Errorf("warnings = %q, want one deprecation warning", ws)
+	}
+	p, want := build(plain)
+	if ws := p.Warnings(); len(ws) != 0 {
+		t.Errorf("file without the key: unexpected warnings %q", ws)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("speculate = true changed the config:\n got  %+v\n want %+v", got, want)
 	}
 }
 

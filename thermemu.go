@@ -190,34 +190,39 @@ func (r RunStats) String() string {
 		r.Name, r.Cycles, r.Instructions, r.Wall.Round(time.Microsecond), r.VirtualS, r.SlowdownVsRT)
 }
 
-func loadSpec(p *emu.Platform, spec *workloads.Spec) error {
+// LoadPlatform builds a platform from cfg and loads the workload's programs
+// (one per core) and shared-memory image into it, ready to step.
+func LoadPlatform(cfg PlatformConfig, spec *Workload) (*Platform, error) {
+	p, err := emu.New(cfg)
+	if err != nil {
+		return nil, err
+	}
 	if len(spec.Programs) != len(p.Cores) {
-		return fmt.Errorf("thermemu: workload %s has %d programs for %d cores",
+		return nil, fmt.Errorf("thermemu: workload %s has %d programs for %d cores",
 			spec.Name, len(spec.Programs), len(p.Cores))
 	}
 	for i, im := range spec.Programs {
 		if err := p.LoadProgram(i, im); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for _, b := range spec.Shared {
 		p.WriteShared(b.Addr, b.Data)
 	}
-	return nil
+	return p, nil
 }
 
-// RunWorkload executes a workload on the fast emulation kernel and verifies
-// its result.
-func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
-	p, err := emu.New(cfg)
+// runWorkload is the one body of every RunWorkload variant: load the
+// workload, time step driving the platform to completion, then check the
+// platform fault and the workload's verifier.
+func runWorkload(name string, cfg PlatformConfig, spec *Workload,
+	step func(*emu.Platform) (cycles uint64, done bool)) (RunStats, error) {
+	p, err := LoadPlatform(cfg, spec)
 	if err != nil {
 		return RunStats{}, err
 	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
 	start := time.Now()
-	cycles, done := p.Run(1 << 62)
+	cycles, done := step(p)
 	wall := time.Since(start)
 	if err := p.Fault(); err != nil {
 		return RunStats{}, err
@@ -227,7 +232,34 @@ func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
 			return RunStats{}, err
 		}
 	}
-	return newRunStats("emulator/"+spec.Name, p, cycles, wall, done), nil
+	rs := RunStats{
+		Name:         name + "/" + spec.Name,
+		Cycles:       cycles,
+		Instructions: p.TotalInstructions(),
+		VirtualS:     p.VPCM.Time(),
+		Wall:         wall,
+		Done:         done,
+	}
+	if rs.VirtualS > 0 {
+		rs.SlowdownVsRT = wall.Seconds() / rs.VirtualS
+	}
+	return rs, nil
+}
+
+// parallelConfig is cfg built for the parallel kernel, which does not
+// support event logging.
+func parallelConfig(cfg PlatformConfig) PlatformConfig {
+	cfg.Parallel = true
+	cfg.EventLogging = false
+	return cfg
+}
+
+// RunWorkload executes a workload on the fast emulation kernel and verifies
+// its result.
+func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
+	return runWorkload("emulator", cfg, spec, func(p *emu.Platform) (uint64, bool) {
+		return p.Run(1 << 62)
+	})
 }
 
 // RunWorkloadParallel is RunWorkload with the platform built for parallel
@@ -240,27 +272,9 @@ func RunWorkload(cfg PlatformConfig, spec *Workload) (RunStats, error) {
 // RunWorkload, at any chunk size, run after run (assert it with
 // RunWorkloadGolden / RunWorkloadParallelGolden and CompareGolden).
 func RunWorkloadParallel(cfg PlatformConfig, spec *Workload, chunk uint64) (RunStats, error) {
-	cfg.Parallel = true
-	cfg.EventLogging = false
-	p, err := emu.New(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	start := time.Now()
-	cycles, done := p.RunParallel(chunk, 1<<62)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
-	}
-	return newRunStats("emulator-par/"+spec.Name, p, cycles, wall, done), nil
+	return runWorkload("emulator-par", parallelConfig(cfg), spec, func(p *emu.Platform) (uint64, bool) {
+		return p.RunParallel(chunk, 1<<62)
+	})
 }
 
 // NewGoldenTrace returns a streaming digest-only golden trace (constant
@@ -297,25 +311,9 @@ func ReplayHint(d *GoldenDivergence) (uint64, bool) { return checkpoint.HintFrom
 // architectural state at the end. Traces from equal (workload, platform,
 // every) runs — serial or parallel, any chunk size — must compare equal.
 func RunWorkloadGolden(cfg PlatformConfig, spec *Workload, every uint64, tr *GoldenTrace) (RunStats, error) {
-	p, err := emu.New(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	start := time.Now()
-	cycles, done := p.RunDigest(1<<62, every, tr)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
-	}
-	return newRunStats("emulator/"+spec.Name, p, cycles, wall, done), nil
+	return runWorkload("emulator", cfg, spec, func(p *emu.Platform) (uint64, bool) {
+		return p.RunDigest(1<<62, every, tr)
+	})
 }
 
 // RunWorkloadParallelGolden is RunWorkloadParallel with conformance sampling
@@ -323,71 +321,27 @@ func RunWorkloadGolden(cfg PlatformConfig, spec *Workload, every uint64, tr *Gol
 // comparable: equal digests prove the parallel kernel reproduced the serial
 // run bit for bit.
 func RunWorkloadParallelGolden(cfg PlatformConfig, spec *Workload, chunk, every uint64, tr *GoldenTrace) (RunStats, error) {
-	cfg.Parallel = true
-	cfg.EventLogging = false
-	p, err := emu.New(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	start := time.Now()
-	cycles, done := p.RunParallelDigest(chunk, 1<<62, every, tr)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
-	}
-	return newRunStats("emulator-par/"+spec.Name, p, cycles, wall, done), nil
+	return runWorkload("emulator-par", parallelConfig(cfg), spec, func(p *emu.Platform) (uint64, bool) {
+		return p.RunParallelDigest(chunk, 1<<62, every, tr)
+	})
 }
 
 // RunWorkloadMPARM executes a workload on the signal-level cycle-accurate
 // baseline kernel (the MPARM stand-in) and verifies both the result and the
 // statistics recovered from the signal traffic.
 func RunWorkloadMPARM(cfg PlatformConfig, spec *Workload) (RunStats, error) {
-	p, err := emu.New(cfg)
+	var k *mparm.Kernel
+	rs, err := runWorkload("mparm", cfg, spec, func(p *emu.Platform) (uint64, bool) {
+		k = mparm.New(p)
+		return k.Run(1 << 62)
+	})
 	if err != nil {
 		return RunStats{}, err
-	}
-	if err := loadSpec(p, spec); err != nil {
-		return RunStats{}, err
-	}
-	k := mparm.New(p)
-	start := time.Now()
-	cycles, done := k.Run(1 << 62)
-	wall := time.Since(start)
-	if err := p.Fault(); err != nil {
-		return RunStats{}, err
-	}
-	if done && spec.Verify != nil {
-		if err := spec.Verify(p.ReadSharedWord); err != nil {
-			return RunStats{}, err
-		}
 	}
 	if err := k.VerifyObserved(); err != nil {
 		return RunStats{}, err
 	}
-	return newRunStats("mparm/"+spec.Name, p, cycles, wall, done), nil
-}
-
-func newRunStats(name string, p *emu.Platform, cycles uint64, wall time.Duration, done bool) RunStats {
-	rs := RunStats{
-		Name:         name,
-		Cycles:       cycles,
-		Instructions: p.TotalInstructions(),
-		VirtualS:     p.VPCM.Time(),
-		Wall:         wall,
-		Done:         done,
-	}
-	if rs.VirtualS > 0 {
-		rs.SlowdownVsRT = wall.Seconds() / rs.VirtualS
-	}
-	return rs
+	return rs, nil
 }
 
 // RunCoEmulation executes the closed HW/SW loop of the framework.

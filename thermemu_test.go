@@ -1,6 +1,7 @@
 package thermemu
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -119,33 +120,43 @@ func TestTable3SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 3 comparison is slow")
 	}
-	rows, err := Table3(Table3Options{MatrixN: 6, MatrixIters: 1, DitherSize: 16, SkipTM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Speedup <= 1 {
-			t.Errorf("%s: emulator not faster than the baseline (%.2fx)", r.Name, r.Speedup)
-		}
-		if r.EmuMHz <= 0 || r.MPARMkHz <= 0 {
-			t.Errorf("%s: missing frequency metrics", r.Name)
-		}
-		if !strings.Contains(r.String(), "paper:") {
-			t.Errorf("row string lacks the paper reference: %s", r)
-		}
-	}
-	// The baseline simulates in the 100 kHz class; the emulator in the
-	// MHz class (the paper's framing of the two approaches).
-	for _, r := range rows {
-		if r.MPARMkHz > 2000 {
-			t.Errorf("%s: baseline at %.0f kHz is implausibly fast for a CA simulator", r.Name, r.MPARMkHz)
-		}
-		if r.EmuMHz < 0.5 {
-			t.Errorf("%s: emulator at %.2f MHz is below the MHz class", r.Name, r.EmuMHz)
-		}
+	for _, parallel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			// Table3 fails a row whose emulator and baseline cycle counts
+			// differ, in either kernel mode.
+			rows, err := Table3(Table3Options{MatrixN: 6, MatrixIters: 1, DitherSize: 16, SkipTM: true, Parallel: parallel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 5 {
+				t.Fatalf("rows = %d", len(rows))
+			}
+			for _, r := range rows {
+				if r.Speedup <= 1 {
+					t.Errorf("%s: emulator not faster than the baseline (%.2fx)", r.Name, r.Speedup)
+				}
+				if r.EmuMHz <= 0 || r.MPARMkHz <= 0 {
+					t.Errorf("%s: missing frequency metrics", r.Name)
+				}
+				if !strings.Contains(r.String(), "paper:") {
+					t.Errorf("row string lacks the paper reference: %s", r)
+				}
+			}
+			// The baseline simulates in the 100 kHz class; the serial
+			// emulator in the MHz class (the paper's framing of the two
+			// approaches). The parallel kernel is held to the speed-up only:
+			// on rows this small its wall time is dominated by one host
+			// rendezvous per shared access, so its absolute rate measures
+			// the host's scheduler, not the emulator.
+			for _, r := range rows {
+				if r.MPARMkHz > 2000 {
+					t.Errorf("%s: baseline at %.0f kHz is implausibly fast for a CA simulator", r.Name, r.MPARMkHz)
+				}
+				if !parallel && r.EmuMHz < 0.5 {
+					t.Errorf("%s: emulator at %.2f MHz is below the MHz class", r.Name, r.EmuMHz)
+				}
+			}
+		})
 	}
 }
 
